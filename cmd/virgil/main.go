@@ -388,9 +388,10 @@ func printStats(stdout, stderr io.Writer, srcs []core.File) int {
 	fmt.Fprintf(stdout, "  casts elided:    %d\n", osStats.CastsElided)
 	fmt.Fprintf(stdout, "  branches folded: %d\n", osStats.BranchesFolded)
 	fmt.Fprintf(stdout, "  calls inlined:   %d\n", osStats.Inlined)
-	fmt.Fprintf(stdout, "timings: parse %v, check %v, lower %v, mono %v, norm %v, opt %v, total %v\n",
+	fmt.Fprintf(stdout, "timings: parse %v, check %v, lower %v, mono %v, norm %v, opt %v, analysis %v, total %v\n",
 		comp.Timings.Parse, comp.Timings.Check, comp.Timings.Lower,
-		comp.Timings.Mono, comp.Timings.Norm, comp.Timings.Opt, comp.Timings.Total)
+		comp.Timings.Mono, comp.Timings.Norm, comp.Timings.Opt,
+		comp.Timings.Analysis, comp.Timings.Total)
 	return exitOK
 }
 

@@ -9,10 +9,10 @@ import (
 
 // Config controls how Analyze runs. The zero value is valid.
 type Config struct {
-	// Jobs bounds the per-function fan-out (CFG construction and
-	// interval propagation); <= 1 runs inline. Whole-program phases
-	// (call graph, escape and effect fixpoints) are sequential barriers
-	// either way, so results are identical at every worker count.
+	// Jobs bounds the per-function fan-out (CFG construction); <= 1
+	// runs inline. Whole-program phases (call graph, escape and effect
+	// fixpoints) are sequential barriers either way, so results are
+	// identical at every worker count.
 	Jobs int
 }
 
@@ -32,15 +32,14 @@ type FuncFacts struct {
 	// ParamEscapes[i] reports whether parameter i may escape the
 	// function (including by being returned).
 	ParamEscapes []bool
-	// EscapingRegs is the full may-escape register set.
-	EscapingRegs map[*ir.Reg]bool
+	// EscapingRegs is the full may-escape register set, indexed by
+	// Reg.ID.
+	EscapingRegs []bool
 	// AllocSites lists every heap-charged allocation in instruction
 	// order with its verdict; NonEscaping is the subset that stays
 	// frame-local.
 	AllocSites  []AllocSite
 	NonEscaping []*ir.Instr
-	// Intervals maps integer registers to their value ranges.
-	Intervals map[*ir.Reg]Interval
 }
 
 // Result is the whole-program analysis output.
@@ -57,8 +56,20 @@ type Result struct {
 // analyzed module.
 func (r *Result) FactsFor(fn *ir.Func) *FuncFacts { return r.byFn[fn] }
 
+// Intervals computes the value ranges of fn's integer registers from
+// its already built CFG, or returns nil for a function outside the
+// analyzed module. Only the analyze report reads intervals, so Analyze
+// does not compute them; each call recomputes.
+func (r *Result) Intervals(fn *ir.Func) map[*ir.Reg]Interval {
+	facts := r.byFn[fn]
+	if facts == nil {
+		return nil
+	}
+	return computeIntervals(fn, facts.CFG)
+}
+
 // Analyze runs the whole analysis stack over mod: per-function CFGs,
-// the call graph, then the escape, effect, and interval fixpoints.
+// the call graph, then the escape and effect fixpoints.
 // It never mutates mod, so stale results can coexist with further
 // transformation — consumers re-run Analyze after changing the IR.
 func Analyze(ctx context.Context, mod *ir.Module, cfg Config) (*Result, error) {
@@ -71,9 +82,7 @@ func Analyze(ctx context.Context, mod *ir.Module, cfg Config) (*Result, error) {
 	// into their own index slot (the par.Run determinism contract).
 	err := par.Run(ctx, "analysis", cfg.Jobs, len(mod.Funcs), func(i int) error {
 		f := mod.Funcs[i]
-		facts := &FuncFacts{Fn: f, CFG: BuildCFG(f)}
-		facts.Intervals = computeIntervals(f, facts.CFG)
-		res.Funcs[i] = facts
+		res.Funcs[i] = &FuncFacts{Fn: f, CFG: BuildCFG(f)}
 		return nil
 	})
 	if err != nil {

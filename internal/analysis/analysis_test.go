@@ -253,8 +253,7 @@ def main() {
 }
 `, true)
 	res := analyze(t, mod)
-	facts := res.FactsFor(funcByName(t, mod, "main"))
-	sum := SummarizeIntervals(facts.Intervals)
+	sum := SummarizeIntervals(res.Intervals(funcByName(t, mod, "main")))
 	if sum.Consts == 0 {
 		t.Errorf("expected constant intervals in main, got %+v", sum)
 	}

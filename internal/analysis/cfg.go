@@ -2,9 +2,10 @@
 // layer: per-function control-flow graphs over the typed IR, a sound
 // call graph (class-hierarchy analysis refined by rapid type analysis
 // over the classes and closures the program actually creates), and a
-// fixpoint dataflow engine running three interprocedural analyses —
-// escape analysis, purity/effect summaries, and interval/constant
-// propagation.
+// fixpoint dataflow engine running two interprocedural analyses —
+// escape analysis and purity/effect summaries — plus a per-function
+// interval/constant propagation that only the report computes, on
+// demand (Result.Intervals).
 //
 // The facts feed three consumers: internal/opt (stack promotion of
 // non-escaping allocations, call-graph-driven devirtualization,

@@ -52,7 +52,7 @@ func computeEscapes(res *Result) {
 			esc := es.escapingRegs(f)
 			sum := es.summaries[f]
 			for i, p := range f.Params {
-				if esc[p] && !sum[i] {
+				if esc[p.ID] && !sum[i] {
 					sum[i] = true
 					changed = true
 				}
@@ -72,7 +72,7 @@ func computeEscapes(res *Result) {
 				}
 				escapes := false
 				for _, d := range in.Dst {
-					if esc[d] {
+					if esc[d.ID] {
 						escapes = true
 					}
 				}
@@ -86,16 +86,17 @@ func computeEscapes(res *Result) {
 }
 
 // escapingRegs computes the set of registers of f whose values may
-// escape the frame, under the current callee summaries. The local
-// rules are iterated to a fixpoint because escape propagates backward
-// through value-transparent instructions (moves, casts, aggregates).
-func (es *escapeState) escapingRegs(f *ir.Func) map[*ir.Reg]bool {
-	esc := map[*ir.Reg]bool{}
+// escape the frame, under the current callee summaries, as a table
+// indexed by Reg.ID. The local rules are iterated to a fixpoint
+// because escape propagates backward through value-transparent
+// instructions (moves, casts, aggregates).
+func (es *escapeState) escapingRegs(f *ir.Func) []bool {
+	esc := make([]bool, f.NumRegs())
 	mark := func(r *ir.Reg) bool {
-		if r == nil || esc[r] {
+		if r == nil || esc[r.ID] {
 			return false
 		}
-		esc[r] = true
+		esc[r.ID] = true
 		return true
 	}
 	cgNode := es.res.CallGraph.NodeFor(f)
@@ -125,12 +126,12 @@ func (es *escapeState) escapingRegs(f *ir.Func) map[*ir.Reg]bool {
 						changed = true
 					}
 				case ir.OpMove, ir.OpTypeCast:
-					if len(in.Dst) > 0 && esc[in.Dst[0]] && mark(in.Args[0]) {
+					if len(in.Dst) > 0 && esc[in.Dst[0].ID] && mark(in.Args[0]) {
 						changed = true
 					}
 				case ir.OpMakeTuple:
 					// A tuple escaping carries its elements with it.
-					if len(in.Dst) > 0 && esc[in.Dst[0]] {
+					if len(in.Dst) > 0 && esc[in.Dst[0].ID] {
 						for _, a := range in.Args {
 							if mark(a) {
 								changed = true

@@ -60,9 +60,9 @@ const wideningLimit = 4
 // in reverse postorder until stable. Flow-insensitivity keeps the
 // domain sound for a register IR without SSA form (a register
 // redefined on two paths gets the join of both), at the cost of
-// precision this consumer mix does not need — the facts feed constant
-// reporting and the lint layer, not machine-code bounds-check
-// elimination.
+// precision its one consumer does not need: the facts feed only the
+// constant and range counts of the analyze report (Result.Intervals),
+// not any optimization or lint rule.
 func computeIntervals(f *ir.Func, g *CFG) map[*ir.Reg]Interval {
 	iv := map[*ir.Reg]Interval{}
 	grows := map[*ir.Reg]int{}

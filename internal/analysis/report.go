@@ -96,7 +96,7 @@ func ReportJSON(res *Result) ([]byte, error) {
 			Pure:         facts.Effects.Pure(),
 			ParamEscapes: facts.ParamEscapes,
 			Allocs:       []reportAlloc{},
-			Intervals:    reportInterval(SummarizeIntervals(facts.Intervals)),
+			Intervals:    reportInterval(SummarizeIntervals(res.Intervals(f))),
 			Callees:      []string{},
 			Unresolved:   node.Unresolved,
 		}

@@ -125,14 +125,19 @@ func TestClusterChaosSoak(t *testing.T) {
 	t.Logf("soak: %d answered, %d degraded", answered.Load(), degraded.Load())
 
 	// Clean drain of the whole fleet, then no goroutines left behind.
+	// The clients drop their idle keep-alive connections first: a
+	// connection a Transport dialed but never sent a request on (it
+	// lost the race to a freed idle connection) looks to
+	// http.Server.Shutdown like a request about to arrive, and holds
+	// the drain for 5 s.
+	http.DefaultClient.CloseIdleConnections()
+	for _, n := range f.Nodes {
+		n.Router().client.CloseIdleConnections()
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := f.Stop(ctx); err != nil {
 		t.Fatalf("fleet drain: %v", err)
-	}
-	http.DefaultClient.CloseIdleConnections()
-	for _, n := range f.Nodes {
-		n.Router().client.CloseIdleConnections()
 	}
 	assertNoGoroutineLeaks(t, before)
 }

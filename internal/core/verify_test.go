@@ -10,10 +10,14 @@ import (
 )
 
 // TestVerifyIRAllProgramsAllConfigs is the acceptance property of the
-// typed verifier: every program in the corpus passes verification
-// after every pipeline stage under every configuration.
+// typed verifier: every program in the corpus, and the large progen
+// programs with call chains, passes verification after every pipeline
+// stage under every configuration. The progen programs reach inlining-
+// and devirtualization-heavy IR the corpus does not, so the dense
+// register numbering that the optimizer's side tables index by (ir.Reg)
+// is checked on large functions too.
 func TestVerifyIRAllProgramsAllConfigs(t *testing.T) {
-	for _, p := range testprogs.All() {
+	for _, p := range append(testprogs.All(), chainPrograms()...) {
 		for _, cfg := range core.Configs() {
 			cfg.VerifyIR = true
 			if _, err := core.Compile(p.Name+".v", p.Source, cfg); err != nil {

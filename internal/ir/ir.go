@@ -148,6 +148,16 @@ func (o Op) IsTerminator() bool {
 }
 
 // Reg is a virtual register with a static type.
+//
+// Registers are numbered densely per function: every register an
+// instruction or parameter list of f mentions was allocated by
+// f.NewReg (or rebuilt with its original ID and a matching
+// SetRegCount), so its ID lies in [0, f.NumRegs()) and no two distinct
+// registers of f share an ID. Passes may therefore keep per-register
+// side tables as slices of length f.NumRegs() indexed by Reg.ID instead
+// of maps keyed by *Reg. The typed verifier (Module.Verify, run after
+// every stage under Config.VerifyIR or the VIRGIL_VERIFY_IR
+// environment variable) is what enforces the invariant.
 type Reg struct {
 	ID   int
 	Type types.Type
@@ -241,7 +251,9 @@ type Func struct {
 	nextBlock int
 }
 
-// NewReg allocates a fresh register of type t in f.
+// NewReg allocates a fresh register of type t in f, with the next
+// dense ID: the result's ID is the NumRegs() before the call (see Reg
+// for the invariant passes rely on).
 func (f *Func) NewReg(t types.Type, name string) *Reg {
 	r := &Reg{ID: f.nextReg, Type: t, Name: name}
 	f.nextReg++
