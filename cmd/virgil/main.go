@@ -388,6 +388,7 @@ func printStats(stdout, stderr io.Writer, srcs []core.File) int {
 	fmt.Fprintf(stdout, "  casts elided:    %d\n", osStats.CastsElided)
 	fmt.Fprintf(stdout, "  branches folded: %d\n", osStats.BranchesFolded)
 	fmt.Fprintf(stdout, "  calls inlined:   %d\n", osStats.Inlined)
+	fmt.Fprintf(stdout, "  rounds:          %d (%d folds skipped at fixpoint)\n", osStats.Rounds, osStats.FoldsSkipped)
 	fmt.Fprintf(stdout, "timings: parse %v, check %v, lower %v, mono %v, norm %v, opt %v, analysis %v, total %v\n",
 		comp.Timings.Parse, comp.Timings.Check, comp.Timings.Lower,
 		comp.Timings.Mono, comp.Timings.Norm, comp.Timings.Opt,

@@ -9,8 +9,8 @@ import (
 
 // Config controls how Analyze runs. The zero value is valid.
 type Config struct {
-	// Jobs bounds the per-function fan-out (CFG construction); <= 1
-	// runs inline. Whole-program phases (call graph, escape and effect
+	// Jobs bounds the per-function fan-out (the loop bit); <= 1 runs
+	// inline. Whole-program phases (call graph, escape and effect
 	// fixpoints) are sequential barriers either way, so results are
 	// identical at every worker count.
 	Jobs int
@@ -25,8 +25,11 @@ type AllocSite struct {
 
 // FuncFacts is everything the analyses learned about one function.
 type FuncFacts struct {
-	Fn  *ir.Func
-	CFG *CFG
+	Fn *ir.Func
+	// HasLoop reports whether the function's block graph has a cycle
+	// (some block of BuildCFG(Fn) is InLoop), the only CFG fact any
+	// compile-time pass reads.
+	HasLoop bool
 	// Effects is the interprocedural effect summary.
 	Effects Effect
 	// ParamEscapes[i] reports whether parameter i may escape the
@@ -56,20 +59,20 @@ type Result struct {
 // analyzed module.
 func (r *Result) FactsFor(fn *ir.Func) *FuncFacts { return r.byFn[fn] }
 
-// Intervals computes the value ranges of fn's integer registers from
-// its already built CFG, or returns nil for a function outside the
+// Intervals computes the value ranges of fn's integer registers over a
+// freshly built CFG, or returns nil for a function outside the
 // analyzed module. Only the analyze report reads intervals, so Analyze
 // does not compute them; each call recomputes.
 func (r *Result) Intervals(fn *ir.Func) map[*ir.Reg]Interval {
-	facts := r.byFn[fn]
-	if facts == nil {
+	if r.byFn[fn] == nil {
 		return nil
 	}
-	return computeIntervals(fn, facts.CFG)
+	return computeIntervals(fn, BuildCFG(fn))
 }
 
-// Analyze runs the whole analysis stack over mod: per-function CFGs,
-// the call graph, then the escape and effect fixpoints.
+// Analyze runs the whole analysis stack over mod: the per-function loop
+// bit, the call graph, then the escape and effect fixpoints. It builds
+// no CFGs; consumers that need a graph call BuildCFG themselves.
 // It never mutates mod, so stale results can coexist with further
 // transformation — consumers re-run Analyze after changing the IR.
 func Analyze(ctx context.Context, mod *ir.Module, cfg Config) (*Result, error) {
@@ -82,7 +85,7 @@ func Analyze(ctx context.Context, mod *ir.Module, cfg Config) (*Result, error) {
 	// into their own index slot (the par.Run determinism contract).
 	err := par.Run(ctx, "analysis", cfg.Jobs, len(mod.Funcs), func(i int) error {
 		f := mod.Funcs[i]
-		res.Funcs[i] = &FuncFacts{Fn: f, CFG: BuildCFG(f)}
+		res.Funcs[i] = &FuncFacts{Fn: f, HasLoop: hasLoop(f)}
 		return nil
 	})
 	if err != nil {
@@ -96,4 +99,71 @@ func Analyze(ctx context.Context, mod *ir.Module, cfg Config) (*Result, error) {
 	computeEscapes(res)
 	computeEffects(res)
 	return res, nil
+}
+
+// hasLoop reports whether f's block graph has a cycle, by a colouring
+// DFS from every block: an edge back to a block still on the DFS stack
+// closes a cycle. Like BuildCFG, it counts unreachable blocks and
+// ignores edges to blocks outside f.
+func hasLoop(f *ir.Func) bool {
+	if len(f.Blocks) == 1 {
+		if t := f.Blocks[0].Terminator(); t != nil {
+			for _, nb := range t.Blocks {
+				if nb == f.Blocks[0] {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	index := make(map[*ir.Block]int, len(f.Blocks))
+	for i, b := range f.Blocks {
+		index[b] = i
+	}
+	const (
+		white = iota
+		grey  // on the DFS stack
+		black // finished
+	)
+	colour := make([]uint8, len(f.Blocks))
+	type frame struct {
+		succs []*ir.Block
+		b     int
+	}
+	var stack []frame
+	push := func(b int) {
+		colour[b] = grey
+		var succs []*ir.Block
+		if t := f.Blocks[b].Terminator(); t != nil {
+			succs = t.Blocks
+		}
+		stack = append(stack, frame{succs: succs, b: b})
+	}
+	for root := range f.Blocks {
+		if colour[root] != white {
+			continue
+		}
+		push(root)
+		for len(stack) > 0 {
+			top := &stack[len(stack)-1]
+			if len(top.succs) == 0 {
+				colour[top.b] = black
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			nb := top.succs[0]
+			top.succs = top.succs[1:]
+			j, ok := index[nb]
+			if !ok {
+				continue
+			}
+			switch colour[j] {
+			case grey:
+				return true
+			case white:
+				push(j)
+			}
+		}
+	}
+	return false
 }

@@ -7,6 +7,12 @@
 // interval/constant propagation that only the report computes, on
 // demand (Result.Intervals).
 //
+// Analyze computes only the facts its consumers' passes read. It
+// builds no CFGs (FuncFacts.HasLoop is the one CFG fact a pass needs);
+// lint and the report call BuildCFG when they need a graph. The escape
+// fixpoint is a caller worklist that revisits only the callers of a
+// changed parameter summary.
+//
 // The facts feed three consumers: internal/opt (stack promotion of
 // non-escaping allocations, call-graph-driven devirtualization,
 // pure-call elimination), internal/lint (IR-level advisory rules), and

@@ -13,7 +13,8 @@ import "repro/internal/ir"
 //
 // The analysis is interprocedural: each function gets a parameter
 // summary (does param i escape from the callee?), and the summaries
-// are iterated to a least fixpoint over the call graph. Starting from
+// are iterated to a least fixpoint over the call graph, revisiting only
+// the callers of a summary that changed. Starting from
 // the optimistic "nothing escapes" bottom and applying monotone rules
 // converges to the least sound may-escape solution, so recursion needs
 // no special casing.
@@ -30,41 +31,79 @@ import "repro/internal/ir"
 //     see the allocation as local only after the allocator is inlined.
 type escapeState struct {
 	res *Result
-	// summaries[f][i] reports whether f's parameter i may escape f
-	// (including by being returned).
-	summaries map[*ir.Func][]bool
+	// summaries[j][i] reports whether parameter i of the module's j-th
+	// function may escape it (including by being returned); index maps
+	// each function to its j.
+	summaries [][]bool
+	index     map[*ir.Func]int
 }
 
 // computeEscapes fills FuncFacts.EscapingRegs, ParamEscapes, and
 // NonEscaping for every function in res.
+//
+// The fixpoint is a worklist over the call graph: every function is
+// queued once in module order, and when a function's parameter summary
+// grows, its callers (the reverse of CGNode.Callees, which lists every
+// static and every resolved site target) are queued again. The rules
+// are monotone, so the least fixpoint does not depend on visit order,
+// and each function's last escapingRegs result already reflects the
+// final summaries of all its callees.
 func computeEscapes(res *Result) {
-	es := &escapeState{res: res, summaries: map[*ir.Func][]bool{}}
-	for _, f := range res.Mod.Funcs {
-		es.summaries[f] = make([]bool, len(f.Params))
+	funcs := res.Mod.Funcs
+	es := &escapeState{
+		res:       res,
+		summaries: make([][]bool, len(funcs)),
+		index:     make(map[*ir.Func]int, len(funcs)),
 	}
-	// Global fixpoint: recompute every function against the current
-	// summaries until no summary changes. Functions are visited in
-	// module order, so the iteration — and therefore every derived
-	// artifact — is deterministic.
-	for changed := true; changed; {
-		changed = false
-		for _, f := range res.Mod.Funcs {
-			esc := es.escapingRegs(f)
-			sum := es.summaries[f]
-			for i, p := range f.Params {
-				if esc[p.ID] && !sum[i] {
-					sum[i] = true
-					changed = true
-				}
+	for i, f := range funcs {
+		es.summaries[i] = make([]bool, len(f.Params))
+		es.index[f] = i
+	}
+	callers := make([][]int, len(funcs))
+	for i, node := range res.CallGraph.Nodes {
+		for _, c := range node.Callees {
+			if j, ok := es.index[c]; ok {
+				callers[j] = append(callers[j], i)
 			}
 		}
 	}
-	// Final pass: record per-function facts against the fixed summaries.
-	for i, f := range res.Mod.Funcs {
-		facts := res.Funcs[i]
+	queued := make([]bool, len(funcs))
+	work := make([]int, len(funcs))
+	for i := range funcs {
+		work[i] = i
+		queued[i] = true
+	}
+	escs := make([][]bool, len(funcs))
+	for len(work) > 0 {
+		i := work[0]
+		work = work[1:]
+		queued[i] = false
+		f := funcs[i]
 		esc := es.escapingRegs(f)
+		escs[i] = esc
+		sum := es.summaries[i]
+		grew := false
+		for k, p := range f.Params {
+			if esc[p.ID] && !sum[k] {
+				sum[k] = true
+				grew = true
+			}
+		}
+		if !grew {
+			continue
+		}
+		for _, c := range callers[i] {
+			if !queued[c] {
+				queued[c] = true
+				work = append(work, c)
+			}
+		}
+	}
+	for i, f := range funcs {
+		facts := res.Funcs[i]
+		esc := escs[i]
 		facts.EscapingRegs = esc
-		facts.ParamEscapes = es.summaries[f]
+		facts.ParamEscapes = es.summaries[i]
 		for _, blk := range f.Blocks {
 			for _, in := range blk.Instrs {
 				if !IsAlloc(in) || len(in.Dst) == 0 {
@@ -204,9 +243,9 @@ func (es *escapeState) paramEscapes(fn *ir.Func, k int) bool {
 	if fn == nil {
 		return true
 	}
-	sum, ok := es.summaries[fn]
-	if !ok || k >= len(sum) {
+	j, ok := es.index[fn]
+	if !ok || k >= len(es.summaries[j]) {
 		return true
 	}
-	return sum[k]
+	return es.summaries[j][k]
 }

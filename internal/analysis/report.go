@@ -92,6 +92,7 @@ func ReportJSON(res *Result) ([]byte, error) {
 			Instrs:       f.NumInstrs(),
 			Reachable:    res.CallGraph.Reachable[f],
 			InCycle:      node.InCycle,
+			HasLoop:      facts.HasLoop,
 			Effects:      facts.Effects.Names(),
 			Pure:         facts.Effects.Pure(),
 			ParamEscapes: facts.ParamEscapes,
@@ -102,11 +103,6 @@ func ReportJSON(res *Result) ([]byte, error) {
 		}
 		if rf.ParamEscapes == nil {
 			rf.ParamEscapes = []bool{}
-		}
-		for _, b := range facts.CFG.InLoop {
-			if b {
-				rf.HasLoop = true
-			}
 		}
 		for _, site := range facts.AllocSites {
 			rf.Allocs = append(rf.Allocs, reportAlloc{

@@ -40,6 +40,9 @@ type Stats struct {
 	// Profile-guided passes (Config.Profile).
 	SpecDevirt int // virtual sites given a guarded speculative fast path
 	HotInlined int // extra inlines paid for by profile heat
+	// Fold/inline fixpoint bookkeeping.
+	Rounds       int // fold/inline rounds that ran
+	FoldsSkipped int // function-rounds whose fold was skipped at its fixpoint
 }
 
 // Config controls optimization.
@@ -70,8 +73,8 @@ type Config struct {
 	Profile *profile.Profile
 	// Record, when non-nil, captures the per-round inline snapshots and
 	// change bits of this optimization, the replay substrate of
-	// incremental compilation (core.Store). Recording copies every
-	// inline-candidate body once per round and costs nothing else.
+	// incremental compilation (core.Store). Recording keeps the
+	// snapshots that inlining takes anyway and costs only its tables.
 	Record *Recording
 }
 
@@ -103,11 +106,12 @@ type Recording struct {
 
 // Optimize runs all passes over the module in place.
 //
-// Each round folds every function — a pass that reads and writes only
-// that function, so the folds fan out on the worker pool with
-// per-worker statistics merged in function order — and then inlines
-// sequentially, since inlining reads callee bodies across the module.
-// The loop between fold and inline is a barrier in both modes.
+// Each round folds every function not already at its fold fixpoint —
+// a pass that reads and writes only that function, so the folds fan
+// out on the worker pool with per-worker statistics merged in function
+// order — and then inlines from frozen snapshots, since inlining reads
+// callee bodies across the module. The loop between fold and inline is
+// a barrier in both modes.
 func Optimize(ctx context.Context, mod *ir.Module, cfg Config) (*Stats, error) {
 	if cfg.InlineLimit == 0 {
 		cfg.InlineLimit = 16
@@ -236,6 +240,15 @@ func OptimizeReplay(ctx context.Context, dirty []*ir.Func, tc *types.Cache, cfg 
 // candidates, inlines every function in parallel from the frozen
 // snapshots, and stops when neither the live functions nor the base's
 // recorded round changed anything.
+//
+// Work is proportional to change. A function whose last fold reached
+// its fixpoint (the final pass changed nothing) and that inlining has
+// not touched since is not folded again: foldFunc reads only its own
+// body and the type cache, so the fold would report no change and
+// count nothing. Likewise a function's snapshot is reused while its
+// body is unchanged since the snapshot was taken (no fold change this
+// round, no inline last round); snapshots are immutable, so
+// consecutive RoundRecords may share the pointer.
 func (o *optimizer) rounds(ctx context.Context, funcs []*ir.Func, base *Recording) error {
 	cfg := o.cfg
 	live := make(map[string]bool, len(funcs))
@@ -244,11 +257,22 @@ func (o *optimizer) rounds(ctx context.Context, funcs []*ir.Func, base *Recordin
 	}
 	folded := make([]bool, len(funcs))
 	inlined := make([]bool, len(funcs))
+	// fixed[i]: funcs[i]'s last fold reached its fixpoint and no inline
+	// has touched it since. prev[i]: funcs[i]'s latest snapshot (nil for
+	// a non-candidate), taken in an earlier round.
+	fixed := make([]bool, len(funcs))
+	prev := make([]*Snapshot, len(funcs))
 	workStats := make([]Stats, len(funcs))
 	for r := 0; r < cfg.Rounds; r++ {
+		o.st.Rounds++
 		if err := par.Run(ctx, "opt", cfg.Jobs, len(funcs), func(i int) error {
+			if fixed[i] {
+				folded[i] = false
+				workStats[i].FoldsSkipped++
+				return nil
+			}
 			w := &optimizer{mod: o.mod, tc: o.tc, cfg: cfg, st: &workStats[i]}
-			folded[i] = w.foldFunc(funcs[i])
+			folded[i], fixed[i] = w.foldFunc(funcs[i])
 			return nil
 		}); err != nil {
 			// foldFunc is error-free, so any error here is a recovered
@@ -258,10 +282,14 @@ func (o *optimizer) rounds(ctx context.Context, funcs []*ir.Func, base *Recordin
 		// Freeze this round's inline candidates. Inlining below reads
 		// only these snapshots, so the parallel fan-out and any replay
 		// see identical callee bodies regardless of processing order.
+		// inlined still holds last round's bits here.
 		snaps := map[string]*Snapshot{}
-		for _, f := range funcs {
-			if s := snapshotOf(f, cfg.InlineLimit); s != nil {
-				snaps[f.Name] = s
+		for i, f := range funcs {
+			if r == 0 || folded[i] || inlined[i] {
+				prev[i] = snapshotOf(f, cfg.InlineLimit)
+			}
+			if prev[i] != nil {
+				snaps[f.Name] = prev[i]
 			}
 		}
 		lookup := func(name string) *Snapshot {
@@ -276,6 +304,9 @@ func (o *optimizer) rounds(ctx context.Context, funcs []*ir.Func, base *Recordin
 		if err := par.Run(ctx, "opt", cfg.Jobs, len(funcs), func(i int) error {
 			w := &optimizer{mod: o.mod, tc: o.tc, cfg: cfg, st: &workStats[i]}
 			inlined[i] = w.inlineCalls(funcs[i], lookup)
+			if inlined[i] {
+				fixed[i] = false
+			}
 			return nil
 		}); err != nil {
 			return err
@@ -288,6 +319,7 @@ func (o *optimizer) rounds(ctx context.Context, funcs []*ir.Func, base *Recordin
 			o.st.BranchesFolded += workStats[i].BranchesFolded
 			o.st.InstrsRemoved += workStats[i].InstrsRemoved
 			o.st.Inlined += workStats[i].Inlined
+			o.st.FoldsSkipped += workStats[i].FoldsSkipped
 			workStats[i] = Stats{}
 		}
 		baseChanged := false
@@ -390,18 +422,19 @@ type constVal struct {
 }
 
 // foldFunc runs constant folding, copy propagation, branch folding,
-// unreachable-code removal and DCE on one function; reports change.
+// unreachable-code removal and DCE on one function. It reports whether
+// anything changed, and whether it stopped at a fixpoint (its last pass
+// changed nothing) rather than at the pass bound.
 //
 // The per-pass facts live in dense tables indexed by Reg.ID (the
 // ir.Reg numbering invariant). None of these passes allocates a
 // register, so one set of tables sized f.NumRegs() serves every pass.
-func (o *optimizer) foldFunc(f *ir.Func) bool {
+func (o *optimizer) foldFunc(f *ir.Func) (changed, fixpoint bool) {
 	n := f.NumRegs()
 	defCount := make([]int, n)
 	defInstr := make([]*ir.Instr, n)
 	consts := make([]constVal, n)
 	copies := make([]*ir.Reg, n)
-	changed := false
 	for pass := 0; pass < 4; pass++ {
 		clear(defCount)
 		clear(defInstr)
@@ -487,11 +520,11 @@ func (o *optimizer) foldFunc(f *ir.Func) bool {
 			localChanged = true
 		}
 		if !localChanged {
-			break
+			return changed, true
 		}
 		changed = true
 	}
-	return changed
+	return changed, false
 }
 
 func constOf(consts []constVal, r *ir.Reg) (constVal, bool) {
@@ -829,7 +862,8 @@ func (o *optimizer) dce(f *ir.Func) bool {
 		}
 		removed := false
 		for _, blk := range f.Blocks {
-			var kept []*ir.Instr
+			// Filter in place; the cleared tail drops the references.
+			kept := blk.Instrs[:0]
 			for _, in := range blk.Instrs {
 				if in.Op == ir.OpNop && len(in.Dst) == 0 {
 					removed = true
@@ -852,6 +886,7 @@ func (o *optimizer) dce(f *ir.Func) bool {
 				}
 				kept = append(kept, in)
 			}
+			clear(blk.Instrs[len(kept):])
 			blk.Instrs = kept
 		}
 		if !removed {
@@ -865,19 +900,26 @@ func (o *optimizer) dce(f *ir.Func) bool {
 // inlineCalls splices small single-block callees into their callers
 // (§3.3: "which the compiler may then inline"). Callee bodies come
 // from lookup — the round's frozen snapshots — never from live
-// functions, so the result is independent of inlining order.
+// functions, so the result is independent of inlining order. A block
+// gets a new instruction slice only when something is spliced into it.
 func (o *optimizer) inlineCalls(f *ir.Func, lookup func(name string) *Snapshot) bool {
 	changed := false
 	for _, blk := range f.Blocks {
-		var out []*ir.Instr
-		for _, in := range blk.Instrs {
+		var out []*ir.Instr // nil until the block's first splice
+		for j, in := range blk.Instrs {
 			var snap *Snapshot
 			if in.Op == ir.OpCallStatic && in.Fn != nil && in.Fn.Name != f.Name {
 				snap = lookup(in.Fn.Name)
 			}
 			if snap == nil {
-				out = append(out, in)
+				if out != nil {
+					out = append(out, in)
+				}
 				continue
+			}
+			if out == nil {
+				out = make([]*ir.Instr, j, len(blk.Instrs)+len(snap.Instrs))
+				copy(out, blk.Instrs[:j])
 			}
 			regMap := map[*ir.Reg]*ir.Reg{}
 			for k, p := range snap.Params {
@@ -916,7 +958,9 @@ func (o *optimizer) inlineCalls(f *ir.Func, lookup func(name string) *Snapshot) 
 			o.st.Inlined++
 			changed = true
 		}
-		blk.Instrs = out
+		if out != nil {
+			blk.Instrs = out
+		}
 	}
 	return changed
 }

@@ -258,3 +258,93 @@ func TestOptimizeIdempotent(t *testing.T) {
 	}
 	_ = st
 }
+
+// TestRoundStatsJobsDeterminism: the per-round counters are merged in
+// function order like the others, so every Stats field is the same at
+// jobs=1 and jobs=8; and a function that reached its fold fixpoint is
+// skipped in later rounds.
+func TestRoundStatsJobsDeterminism(t *testing.T) {
+	for _, p := range testprogs.All() {
+		t.Run(p.Name, func(t *testing.T) {
+			var st [2]*Stats
+			for k, jobs := range []int{1, 8} {
+				s, err := Optimize(context.Background(), compileNorm(t, p.Source), Config{Jobs: jobs, Analyze: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				st[k] = s
+			}
+			if *st[0] != *st[1] {
+				t.Errorf("stats differ:\njobs=1: %+v\njobs=8: %+v", *st[0], *st[1])
+			}
+			if st[0].Rounds == 0 {
+				t.Error("no fold/inline round counted")
+			}
+			if p.Name == "classes_b1_b7" && st[0].FoldsSkipped == 0 {
+				t.Errorf("no fold skipped at fixpoint: %+v", *st[0])
+			}
+		})
+	}
+}
+
+// snapshotText renders a recorded snapshot.
+func snapshotText(s *Snapshot) string {
+	var b strings.Builder
+	for _, p := range s.Params {
+		b.WriteString(p.String() + " ")
+	}
+	for _, in := range s.Instrs {
+		b.WriteString("\n" + in.String())
+	}
+	return b.String()
+}
+
+// TestSnapshotReuse: an inline candidate whose body does not change
+// between rounds keeps its snapshot pointer across consecutive
+// RoundRecords, and no recorded snapshot aliases the live IR.
+func TestSnapshotReuse(t *testing.T) {
+	mod := compileNorm(t, `
+def leaf(x: int) -> int { return x + 1; }
+def mid(x: int) -> int { return leaf(x) * 2; }
+def top(x: int) -> int { return mid(x) - 3; }
+def main() { System.puti(top(4)); }
+`)
+	rec := &Recording{}
+	st, err := Optimize(context.Background(), mod, Config{Record: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Rounds) < 2 || st.Rounds != len(rec.Rounds) {
+		t.Fatalf("want >= 2 recorded rounds matching Stats.Rounds, got %d and %d", len(rec.Rounds), st.Rounds)
+	}
+	if s0, s1 := rec.Rounds[0].Snaps["leaf"], rec.Rounds[1].Snaps["leaf"]; s0 == nil || s0 != s1 {
+		t.Errorf("leaf's unchanged snapshot was not reused: round 0 %p, round 1 %p", s0, s1)
+	}
+	if st.FoldsSkipped == 0 {
+		t.Errorf("no fold skipped at fixpoint: %+v", *st)
+	}
+	if got := run(t, mod); got != "7" {
+		t.Fatalf("got %q", got)
+	}
+	texts := map[*Snapshot]string{}
+	for _, rr := range rec.Rounds {
+		for _, s := range rr.Snaps {
+			texts[s] = snapshotText(s)
+		}
+	}
+	// Scribble over every live instruction and block slot: a snapshot
+	// sharing either with the live IR would change text.
+	for _, f := range mod.Funcs {
+		for _, blk := range f.Blocks {
+			for k, in := range blk.Instrs {
+				*in = ir.Instr{Op: ir.OpNop}
+				blk.Instrs[k] = &ir.Instr{Op: ir.OpNop}
+			}
+		}
+	}
+	for s, want := range texts {
+		if got := snapshotText(s); got != want {
+			t.Errorf("recorded snapshot changed after Optimize returned:\nwas %s\nnow %s", want, got)
+		}
+	}
+}
